@@ -10,15 +10,15 @@ BENCHTIME ?= 0.3s
 
 # Benchmarks the JSON artifact (and therefore the perf ratchet) covers:
 # the selection kernel, the sweep scheduler, the serving-path select and
-# merge, the weighted merge, and the cross-session batcher.
-BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|BatchSelect
+# merge, and the weighted merge.
+BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge
 
 # Benchmarks bench-diff never fails on: the HTTP and cached-select paths
 # are dominated by the net stack and the allocator, the parallelism sweep
 # by scheduler jitter, and the /Reference/ oracles exist for differential
 # correctness, not speed — their ns/op is trend data, not a gate. The
-# production kernels (Butterfly, Fast, PatternCache, BatchSelect, the
-# service paths) all stay gated.
+# production kernels (Butterfly, Fast, PatternCache, the service paths)
+# all stay gated.
 BENCH_ALLOW ?= ServiceSelectCached|ServiceSelectHTTP|SweepParallelism|/Reference/
 
 # Whole-suite passes for the JSON artifact and the ratchet. benchdiff

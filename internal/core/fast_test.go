@@ -101,6 +101,43 @@ func TestButterflyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBlockedButterflyBitIdentical: the cache-blocked butterfly is the
+// same arithmetic as the naive stage-by-stage sweep, bit for bit, above
+// and below the block size.
+func TestBlockedButterflyBitIdentical(t *testing.T) {
+	naive := func(dense []float64, k int, pc float64) {
+		qc := 1 - pc
+		for b := 0; b < k; b++ {
+			step := 1 << uint(b)
+			for base := 0; base < len(dense); base += step << 1 {
+				for i := base; i < base+step; i++ {
+					lo, hi := dense[i], dense[i+step]
+					dense[i] = pc*lo + qc*hi
+					dense[i+step] = qc*lo + pc*hi
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(103))
+	for _, k := range []int{0, 1, 5, 11, 12, 13, 15} {
+		a := make([]float64, 1<<uint(k))
+		b := make([]float64, len(a))
+		for i := range a {
+			a[i] = rng.Float64()
+			b[i] = a[i]
+		}
+		pc := 0.5 + rng.Float64()/2
+		bscButterfly(a, k, pc)
+		naive(b, k, pc)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("k=%d: blocked and naive butterflies diverge at %d: %v != %v",
+					k, i, a[i], b[i])
+			}
+		}
+	}
+}
+
 // TestGroupPatternMasses: sort-based compaction produces exactly one
 // ascending entry per distinct pattern, with the summed mass, across
 // adversarial input shapes.
@@ -222,7 +259,7 @@ func TestPreprocessPairwiseBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			got := preprocessPairwise(j, pc, workers, nil)
+			got := preprocessPairwise(j, pc, workers)
 			if !reflect.DeepEqual(got.answerP, ref.answerP) {
 				t.Fatalf("workers=%d n=%d |O|=%d: answer joint not bit-identical to reference",
 					workers, n, support)
@@ -308,7 +345,7 @@ func TestPatternCacheMatchesTaskEntropy(t *testing.T) {
 		n := 4 + rng.Intn(10)
 		j := randomSparseJoint(t, rng, n, 1+rng.Intn(1<<uint(min(n, 9))))
 		pc := []float64{0.5, 0.7, 0.9, 1}[rng.Intn(4)]
-		cache := newPatternCache(j, pc, false)
+		cache := newPatternCache(j, pc)
 		var selected []int
 		inSet := make([]bool, n)
 		for depth := 0; depth < min(n, 6); depth++ {
@@ -492,5 +529,120 @@ func TestRandomSelectorDraw(t *testing.T) {
 		if c == 0 {
 			t.Errorf("fact %d never drawn in 2000 single draws", f)
 		}
+	}
+}
+
+// TestGreedySelectConcurrent: goroutines running a mixed workload — random
+// joints of different sizes over a few (pc, k) groups and all four greedy
+// configurations — through shared selectors get exactly their sequential
+// results. Run under -race this also checks that the pooled scratch is
+// sound when calls of different shapes interleave.
+func TestGreedySelectConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	selectors := []*GreedySelector{
+		NewGreedy(), NewGreedyPrune(), NewGreedyPre(), NewGreedyPrunePre(),
+	}
+	pcs := []float64{0.6, 0.75, 0.9}
+	ks := []int{1, 2, 3, 5}
+	type call struct {
+		sel   *GreedySelector
+		joint *dist.Joint
+		k     int
+		pc    float64
+		want  []int
+	}
+	calls := make([]call, 12)
+	for i := range calls {
+		n := 4 + rng.Intn(9)
+		c := call{
+			sel:   selectors[rng.Intn(len(selectors))],
+			joint: randomSparseJoint(t, rng, n, 1+rng.Intn(1<<uint(min(n, 9)))),
+			k:     ks[rng.Intn(len(ks))],
+			pc:    pcs[rng.Intn(len(pcs))],
+		}
+		var err error
+		if c.want, err = c.sel.Select(c.joint, c.k, c.pc); err != nil {
+			t.Fatal(err)
+		}
+		calls[i] = c
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				for i := range calls {
+					c := calls[(i+g)%len(calls)]
+					got, err := c.sel.Select(c.joint, c.k, c.pc)
+					if err != nil {
+						t.Errorf("call %d: %v", (i+g)%len(calls), err)
+						return
+					}
+					if !reflect.DeepEqual(got, c.want) {
+						t.Errorf("call %d: concurrent %v != sequential %v", (i+g)%len(calls), got, c.want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestGreedySelectConcurrentSharedJoint: many goroutines selecting on one
+// shared joint through shared selectors match the sequential result
+// exactly — the -race proof that the pooled kernel scratch and the
+// immutable posterior carry no shared mutable state. Both preprocessing
+// shapes are covered: the cube butterfly (n=10) and the parallel pairwise
+// loop (n=14, sparse support).
+func TestGreedySelectConcurrentSharedJoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	selectors := []*GreedySelector{
+		NewGreedy(), NewGreedyPrune(), NewGreedyPre(), NewGreedyPrunePre(),
+	}
+	for _, shape := range []struct{ n, support int }{{10, 200}, {14, 200}} {
+		j := randomSparseJoint(t, rng, shape.n, shape.support)
+		type call struct {
+			sel  *GreedySelector
+			k    int
+			pc   float64
+			want []int
+		}
+		var calls []call
+		for _, sel := range selectors {
+			for _, k := range []int{1, 3, 5} {
+				for _, pc := range []float64{0.7, 0.9} {
+					want, err := sel.Select(j, k, pc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					calls = append(calls, call{sel, k, pc, want})
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					for i := range calls {
+						c := calls[(i+g)%len(calls)] // stagger the goroutines
+						got, err := c.sel.Select(j, c.k, c.pc)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !reflect.DeepEqual(got, c.want) {
+							t.Errorf("n=%d %s k=%d pc=%v: concurrent %v != sequential %v",
+								shape.n, c.sel.Name(), c.k, c.pc, got, c.want)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

@@ -54,20 +54,12 @@ const maxPreprocessButterflyFacts = 20
 // different distribution); each selection round preprocesses once, as the
 // paper notes.
 func Preprocess(j *dist.Joint, pc float64) (*Preprocessed, error) {
-	return preprocessPlan(j, pc, 0, nil)
+	return preprocessWorkers(j, pc, 0)
 }
 
 // preprocessWorkers is Preprocess with an explicit worker count (0 = all
 // CPUs), split out so tests can exercise the parallel path on any machine.
 func preprocessWorkers(j *dist.Joint, pc float64, workers int) (*Preprocessed, error) {
-	return preprocessPlan(j, pc, workers, nil)
-}
-
-// preprocessPlan is Preprocess with an explicit worker count (0 = all CPUs)
-// and an optional shared channel plan supplying the per-distance weight
-// tables (bit-identical to computing them inline, since they are pure
-// functions of the fact count and pc).
-func preprocessPlan(j *dist.Joint, pc float64, workers int, plan *ChannelPlan) (*Preprocessed, error) {
 	if err := checkAccuracy(pc); err != nil {
 		return nil, err
 	}
@@ -76,7 +68,7 @@ func preprocessPlan(j *dist.Joint, pc float64, workers int, plan *ChannelPlan) (
 	if n <= maxPreprocessButterflyFacts && uint64(n)<<uint(n) < size*size {
 		return preprocessButterfly(j, pc), nil
 	}
-	return preprocessPairwise(j, pc, workers, plan), nil
+	return preprocessPairwise(j, pc, workers), nil
 }
 
 // preprocessButterfly computes the answer joint by scattering the support
@@ -107,13 +99,11 @@ func preprocessButterfly(j *dist.Joint, pc float64) *Preprocessed {
 // preprocessPairwise is the direct O(|O|²) computation, row-partitioned
 // across the bounded worker pool. Each row is an independent local
 // accumulation in ascending index order, so any worker count produces
-// bit-identical output. A shared plan supplies the per-distance weight
-// table so a batch computes it once per (fact count, pc) instead of once
-// per member.
-func preprocessPairwise(j *dist.Joint, pc float64, workers int, plan *ChannelPlan) *Preprocessed {
+// bit-identical output.
+func preprocessPairwise(j *dist.Joint, pc float64, workers int) *Preprocessed {
 	worlds := j.Worlds()
 	probs := j.Probs()
-	weights := plan.distWeights(j.N(), pc)
+	weights := bscWeights(j.N(), pc)
 	a := make([]float64, len(worlds))
 	w := parallel.Workers(workers, len(worlds))
 	parallel.Blocks(w, len(worlds), func(lo, hi int) {

@@ -177,8 +177,8 @@ func TestMetricsExpositionRoundtrip(t *testing.T) {
 		if fam.typ == "histogram" {
 			checkHistogramFamily(t, fam)
 		}
-		if fam.typ == "summary" && !strings.Contains(fam.help, "DEPRECATED") {
-			t.Errorf("summary %s is not marked DEPRECATED in HELP", name)
+		if fam.typ == "summary" {
+			t.Errorf("summary %s exposed; latencies are fixed-bucket histograms", name)
 		}
 	}
 
@@ -259,7 +259,7 @@ func checkHistogramFamily(t *testing.T, fam *promFamily) {
 }
 
 // TestMetricsScrapeRaceClean scrapes continuously while observers hammer
-// every histogram and tracker; under -race this proves the exposition path
+// every histogram; under -race this proves the exposition path
 // is safe against live traffic, and every scrape must still parse.
 func TestMetricsScrapeRaceClean(t *testing.T) {
 	var m Metrics
@@ -280,8 +280,6 @@ func TestMetricsScrapeRaceClean(t *testing.T) {
 				m.MergeDuration.observe(d * 2)
 				m.StoreAppendDuration.observe(d * 3)
 				m.LeaseRenewDuration.observe(d * 5)
-				m.SelectLatency.observe(d)
-				m.MergeLatency.observe(d)
 				m.SelectsServed.Add(1)
 			}
 		}(i)

@@ -131,7 +131,6 @@ type Server struct {
 	tracer  *trace.Tracer
 	log     *slog.Logger
 	gate    chan struct{} // compute-slot semaphore
-	batcher *selectBatcher
 
 	// inflight counts compute work (selects and merges) so Close can
 	// drain them even if the HTTP listener has already stopped accepting.
@@ -167,10 +166,6 @@ func NewServer(cfg Config) *Server {
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
-	s.batcher = newSelectBatcher(func(width int) {
-		s.metrics.BatchedSelects.Add(int64(width))
-		s.metrics.SelectBatchWidth.observe(width)
-	})
 	sessionStore := cfg.Store
 	if sessionStore == nil {
 		sessionStore = store.NewMemory()
@@ -693,12 +688,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 
 	start := time.Now()
-	resp, cached, err := s.coalescedSelect(r.Context(), sess, req.K)
+	resp, cached, err := sess.Select(r.Context(), s.mgr.Now(), req.K)
 	if errors.Is(err, errSessionRetired) {
 		// The instance was unloaded/evicted between Get and Select;
 		// re-resolve once (reloading from the store if durable).
 		if sess, err = s.mgr.Get(r.Context(), r.PathValue("id")); err == nil {
-			resp, cached, err = s.coalescedSelect(r.Context(), sess, req.K)
+			resp, cached, err = sess.Select(r.Context(), s.mgr.Now(), req.K)
 		}
 	}
 	if err != nil {
@@ -706,58 +701,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	s.metrics.SelectLatency.observe(time.Since(start))
 	s.metrics.SelectDuration.observe(time.Since(start))
 	s.metrics.SelectsServed.Add(1)
 	if cached {
 		s.metrics.SelectCacheHits.Add(1)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// coalescedSelect is Session.Select with the greedy sweep routed through
-// the cross-session batcher: the intent is frozen under the session lock,
-// the sweep coalesces with any other sessions' concurrent sweeps sharing a
-// (pc, k) channel configuration, and the result commits back under the
-// lock. Fast paths (pinned batch, done, cache hit) never touch the
-// batcher, and non-greedy selectors (random, opt) sweep inline — only
-// greedy sweeps have a shared channel plan to amortize. The batched sweep
-// is bit-identical to the inline one (the BatchSelector contract), so the
-// two paths are interchangeable per session.
-func (s *Server) coalescedSelect(ctx context.Context, sess *Session, kOverride int) (resp *SelectResponse, cached bool, err error) {
-	var sp *trace.Span
-	if s.tracer != nil {
-		ctx, sp = s.tracer.Start(ctx, "session.select")
-		sp.SetAttr("session", sess.ID())
-		defer func() {
-			if resp != nil {
-				sp.SetAttr("version", resp.Version)
-				sp.SetAttr("tasks", len(resp.Tasks))
-			}
-			sp.SetAttr("cached", cached)
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
-	for {
-		resp, cached, intent, err := sess.selectPrepare(s.mgr.Now(), kOverride)
-		if resp != nil || err != nil {
-			return resp, cached, err
-		}
-		var tasks []int
-		var selErr error
-		if g, ok := intent.selector.(*core.GreedySelector); ok {
-			r := s.batcher.do(core.BatchItem{Selector: g, Joint: intent.joint, K: intent.k, Pc: intent.pc})
-			tasks, selErr = r.Tasks, r.Err
-		} else {
-			tasks, selErr = intent.selector.Select(intent.joint, intent.k, intent.pc)
-		}
-		done, hit, stale, err := sess.selectComplete(ctx, s.mgr.Now(), intent, tasks, selErr)
-		if stale {
-			continue
-		}
-		return done, hit, err
-	}
 }
 
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
@@ -801,7 +750,6 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	s.metrics.MergeLatency.observe(time.Since(start))
 	s.metrics.MergeDuration.observe(time.Since(start))
 	switch {
 	case resp.Merged:

@@ -224,9 +224,8 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 		"crowdfusion_selects_served_total 2",
 		"crowdfusion_select_cache_hits_total 1",
 		"crowdfusion_merges_applied_total 1",
-		"crowdfusion_select_latency_seconds{quantile=\"0.5\"}",
-		"crowdfusion_select_latency_seconds{quantile=\"0.99\"}",
-		"crowdfusion_merge_latency_seconds_count 1",
+		"crowdfusion_select_duration_seconds_count 2",
+		"crowdfusion_merge_duration_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)

@@ -10,7 +10,8 @@
 // convolution runs as a k-stage butterfly in O(|O| + k·2^k) instead of the
 // textbook O(|O|·2^k) popcount loop, grouping is sort-based over pooled
 // scratch buffers instead of per-call maps, and the reference
-// implementations are retained in reference.go as differential-test oracles.
+// implementations are retained in reference_test.go as differential-test
+// oracles.
 package core
 
 import (

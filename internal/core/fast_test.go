@@ -15,7 +15,7 @@ import (
 // Differential tests for the fast selection kernel: every accelerated path
 // (butterfly answer channel, sort-based grouping, incremental pattern
 // cache, parallel preprocessing) is checked against the retained reference
-// implementations in reference.go on random sparse joints, including the
+// implementations in reference_test.go on random sparse joints, including the
 // degenerate single-world and full-cube supports.
 
 const diffTol = 1e-12

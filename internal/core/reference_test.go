@@ -12,8 +12,8 @@ import (
 // same quantities as the fast paths in entropy.go / preprocess.go through
 // structurally different algorithms (per-call maps, O(|O|·2^k) popcount
 // convolution, sequential O(|O|²) preprocessing), so agreement within
-// floating-point tolerance is strong evidence both are right. They are not
-// called outside tests and benchmarks.
+// floating-point tolerance is strong evidence both are right. They live in a
+// test file: only tests and benchmarks call them.
 
 // patternMassesRef groups the support of j by the judgments of the given
 // tasks with a per-call map, returning distinct patterns in first-seen

@@ -30,9 +30,10 @@ var (
 	// ErrBudgetExhausted is returned when a merge would spend more tasks
 	// than the session budget has left.
 	ErrBudgetExhausted = errors.New("service: session budget exhausted")
-	// ErrStore is returned when the session store fails: the merge was NOT
-	// applied (persistence happens before the in-memory commit, so a
-	// client seeing this error can safely retry).
+	// ErrStore is returned when the session store fails: the submission
+	// was NOT applied (its one op is persisted before any in-memory change,
+	// observations included), so a client seeing this error can safely
+	// retry.
 	ErrStore = errors.New("service: session store failure")
 	// ErrNoPendingBatch rejects a partial answer when no selection is
 	// outstanding at the current version: there is no batch to answer.
@@ -584,6 +585,11 @@ func answerSetHash(version int, tasks []int, answers []bool) uint64 {
 // acknowledged, and the batch commits — spending budget and advancing the
 // version exactly once — when the ledger covers the batch. Retried
 // prefixes replay idempotently, before and after the commit.
+//
+// Every submission that changes state journals exactly one op — a merge
+// when it commits a batch, a partial otherwise — carrying its judgments'
+// worker attribution, so its observations are recorded by the same fsync
+// that makes it durable; idempotent replays journal nothing.
 func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest) (resp *AnswersResponse, err error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -613,7 +619,7 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 	s.touch(now)
 	// Under em/dawid-skene every judgment is an observation, so legacy
 	// parallel-array submissions are attributed to the anonymous worker;
-	// under fixed, unattributed submissions stay worker-less (and journal
+	// under fixed, unattributed submissions stay worker-less (and record
 	// no observation — their durable log is byte-identical to before
 	// worker models existed).
 	if workers == nil && s.workerModel != WorkerModelFixed {
@@ -678,10 +684,8 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 	if err != nil {
 		return nil, fmt.Errorf("service: merge: %w", err)
 	}
-	if err := s.observeLocked(ctx, now, tasks, answers, workers, sources); err != nil {
-		return nil, err
-	}
-	return s.commitLocked(ctx, now, tasks, answers, taskH, updated, false, workers)
+	op := s.judgmentOp(store.OpMerge, now, tasks, answers, workers, sources)
+	return s.commitLocked(ctx, op, nil, taskH, updated, false, workers)
 }
 
 // canonicalWorkers renders a worker attribution for conflict comparison.
@@ -706,73 +710,44 @@ func (s *Session) checkAttributionLocked(key uint64, workers []string, attribute
 		strings.ReplaceAll(rec, "\x1f", ","))
 }
 
-// observeLocked journals a judgment set as one observe op and accumulates
-// it in memory, before the merge or partial op that consumes it — so
-// replay always sees a round's observations ahead of its commit.
-// Conditioning runs before observe, so an answer set the posterior
-// rejects as impossible journals nothing.
-// A nil workers slice (unattributed judgments on a fixed session) records
-// nothing. A retry of an already-journaled set (the tail of the log at
-// the current version matches exactly) is skipped, so a client retrying
-// after a failed merge persist cannot double-record its judgments.
-// During record replay the whole method is a no-op: restoreSession
-// re-seeds the log from the record itself.
-func (s *Session) observeLocked(ctx context.Context, now time.Time, tasks []int, answers []bool, workers, sources []string) error {
-	if workers == nil || s.replaying {
-		return nil
+// judgmentOp builds the one op an answer submission journals at the
+// current version: its judgments and, when they are attributed (workers
+// non-nil), their workers and sources — the observations the op records.
+// Unattributed judgments on a fixed session record no observation, so
+// their op is byte-identical to one written before worker models existed.
+func (s *Session) judgmentOp(kind string, now time.Time, tasks []int, answers []bool, workers, sources []string) store.Op {
+	op := store.Op{
+		Kind:    kind,
+		Version: s.version,
+		Tasks:   slices.Clone(tasks),
+		Answers: slices.Clone(answers),
+		Epoch:   s.leaseEpoch,
+		Time:    now,
 	}
-	if s.observationsTailMatchLocked(tasks, answers, workers) {
-		return nil
+	if workers != nil {
+		op.Workers = slices.Clone(workers)
+		op.Sources = slices.Clone(sources)
 	}
+	return op
+}
+
+// persistJudgmentsLocked journals one submission's op and, once it is
+// durable, appends the observations it carries (skipping the tasks in
+// judged, whose partial ops recorded theirs) in exactly the order the
+// store's fold derives them — so the live log and a replayed one agree,
+// and a refused op leaves the observation log untouched. During record
+// replay nothing is journaled and nothing appended: persist is nil and
+// restoreSession re-seeds the log from the record itself.
+func (s *Session) persistJudgmentsLocked(ctx context.Context, op store.Op, judged []int) error {
 	if s.persist != nil {
-		op := store.Op{
-			Kind:    store.OpObserve,
-			Version: s.version,
-			Seq:     len(s.observations),
-			Tasks:   append([]int(nil), tasks...),
-			Answers: append([]bool(nil), answers...),
-			Workers: append([]string(nil), workers...),
-			Epoch:   s.leaseEpoch,
-			Time:    now,
-		}
-		if sources != nil {
-			op.Sources = append([]string(nil), sources...)
-		}
 		if err := s.persistOp(ctx, op); err != nil {
 			return persistError(s.id, err)
 		}
 	}
-	for i, t := range tasks {
-		o := store.Observation{
-			Task:    t,
-			Answer:  answers[i],
-			Worker:  workers[i],
-			Version: s.version,
-			Time:    now,
-		}
-		if sources != nil {
-			o.Source = sources[i]
-		}
-		s.observations = append(s.observations, o)
+	if !s.replaying {
+		s.observations = append(s.observations, op.Observations(judged)...)
 	}
 	return nil
-}
-
-// observationsTailMatchLocked reports whether the observation log already
-// ends with exactly this judgment set at the current version — the
-// signature of a retry whose observe op landed but whose merge op did not.
-func (s *Session) observationsTailMatchLocked(tasks []int, answers []bool, workers []string) bool {
-	n := len(tasks)
-	if len(s.observations) < n {
-		return false
-	}
-	tail := s.observations[len(s.observations)-n:]
-	for i, o := range tail {
-		if o.Version != s.version || o.Task != tasks[i] || o.Answer != answers[i] || o.Worker != workers[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // workerChannelLocked returns the smoothed (sensitivity, specificity)
@@ -821,7 +796,7 @@ func (s *Session) conditionLocked(tasks []int, answers []bool, workers []string)
 // the configured pc by a Beta prior of strength workerPriorStrength. An
 // estimator failure keeps the previous estimates — the merge that
 // triggered the refit is already committed and must not be unwound.
-func (s *Session) refitLocked(ctx context.Context, _ time.Time) {
+func (s *Session) refitLocked(ctx context.Context) {
 	if s.workerModel != WorkerModelEM && s.workerModel != WorkerModelDawidSkene {
 		return
 	}
@@ -868,33 +843,26 @@ func (s *Session) refitLocked(ctx context.Context, _ time.Time) {
 	s.emitLocked(ctx, EventRefit, func(ev *SessionEvent) { ev.Refits = s.refits })
 }
 
-// commitLocked durably applies one complete answer set and advances the
-// version; callers hold mu and have already conditioned the posterior.
-// Persist-then-commit: the op is durable (fsynced, for durable stores)
-// before any in-memory state changes, so an acknowledged merge can never
-// be lost — and a failed persist leaves the session exactly as it was,
-// safe for the client to retry. workers, when non-nil, is the judgment
-// attribution the round's observations were journaled under; it is
-// recorded against the idempotency entry so a conflicting re-attribution
-// on retry is refused, and it triggers the post-commit refit.
-func (s *Session) commitLocked(ctx context.Context, now time.Time, tasks []int, answers []bool, taskH float64, updated *dist.Joint, partial bool, workers []string) (*AnswersResponse, error) {
+// commitLocked durably applies one complete answer set — op, an OpMerge
+// at the current version — and advances the version; callers hold mu and
+// have already conditioned the posterior. Persist-then-commit: the op is
+// durable (fsynced, for durable stores) before any in-memory state
+// changes, so an acknowledged merge can never be lost — and a failed
+// persist leaves the session exactly as it was, observations included,
+// safe for the client to retry. judged lists the ledger tasks whose
+// observations partial ops already recorded. workers, when non-nil, is the
+// judgment attribution; it is recorded against the idempotency entry so a
+// conflicting re-attribution on retry is refused, and it triggers the
+// post-commit refit.
+func (s *Session) commitLocked(ctx context.Context, op store.Op, judged []int, taskH float64, updated *dist.Joint, partial bool, workers []string) (*AnswersResponse, error) {
+	tasks, answers := op.Tasks, op.Answers
 	if s.spent+len(tasks) > s.budget {
 		return nil, fmt.Errorf("%w: %d spent of %d, %d more requested",
 			ErrBudgetExhausted, s.spent, s.budget, len(tasks))
 	}
 	mergedAt := s.version
-	if s.persist != nil {
-		op := store.Op{
-			Kind:    store.OpMerge,
-			Version: mergedAt,
-			Tasks:   append([]int(nil), tasks...),
-			Answers: append([]bool(nil), answers...),
-			Epoch:   s.leaseEpoch,
-			Time:    now,
-		}
-		if err := s.persistOp(ctx, op); err != nil {
-			return nil, persistError(s.id, err)
-		}
+	if err := s.persistJudgmentsLocked(ctx, op, judged); err != nil {
+		return nil, err
 	}
 	s.posterior = updated
 	s.version++
@@ -919,7 +887,7 @@ func (s *Session) commitLocked(ctx context.Context, now time.Time, tasks []int, 
 		s.mergeWorkers[key] = canonicalWorkers(workers)
 	}
 	s.emitLocked(ctx, EventMerge, nil)
-	s.refitLocked(ctx, now)
+	s.refitLocked(ctx)
 	return resp, nil
 }
 
@@ -996,32 +964,24 @@ func (s *Session) mergePartialLocked(ctx context.Context, now time.Time, req *An
 		// Pure replay of already-journaled judgments.
 		return &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: false, Partial: true}, nil
 	}
-	if newWorkers != nil && newSources == nil && sources != nil {
-		newSources = make([]string, len(newWorkers))
-	}
-
-	if s.pendBatch == nil {
-		s.pendBatch = append([]int(nil), batch...)
-		s.pendAns = make(map[int]bool, len(batch))
-		s.pendTaskH = s.sel.TaskEntropy
-	}
-	if s.pendWorkers == nil {
-		s.pendWorkers = make(map[int]string, len(batch))
-	}
 
 	// The provisional posterior: one batch conditioning of the answered
 	// prefix, in batch order, against the round-start posterior. Worker
 	// attribution rides along so em/dawid-skene sessions condition each
 	// judgment on its worker's channel; unattributed judgments on fixed
-	// sessions leave prefW nil and take the scalar path.
+	// sessions leave prefW nil and take the scalar path. judged collects
+	// the ledger's tasks, whose observations their partial ops recorded.
 	prefT := make([]int, 0, len(s.pendAns)+len(newTasks))
 	prefA := make([]bool, 0, len(s.pendAns)+len(newTasks))
-	var prefW []string
+	var prefW, prefS []string
+	var judged []int
 	withWorkers := workers != nil || len(s.pendWorkers) > 0
-	for _, t := range s.pendBatch {
+	for _, t := range batch {
 		a, journaled := s.pendAns[t]
 		j := -1
-		if !journaled {
+		if journaled {
+			judged = append(judged, t)
+		} else {
 			if j = slices.Index(newTasks, t); j < 0 {
 				continue
 			}
@@ -1041,44 +1001,51 @@ func (s *Session) mergePartialLocked(ctx context.Context, now time.Time, req *An
 			}
 			prefW = append(prefW, w)
 		}
+		if newSources != nil {
+			src := ""
+			if !journaled {
+				src = newSources[j]
+			}
+			prefS = append(prefS, src)
+		}
 	}
 	updated, err := s.conditionLocked(prefT, prefA, prefW)
 	if err != nil {
 		return nil, fmt.Errorf("service: merge: %w", err)
 	}
 
-	if err := s.observeLocked(ctx, now, newTasks, newAns, newWorkers, newSources); err != nil {
-		return nil, err
-	}
-
-	if len(prefT) == len(s.pendBatch) {
+	if len(prefT) == len(batch) {
 		// The ledger now covers the batch: commit. The completing
-		// judgments are journaled as the batch's OpMerge (inside the
-		// commit), never as a partial op — the durable ledger stays a
-		// strict subset of its batch, so crash recovery always re-enters
-		// the incremental path instead of committing mid-replay.
-		resp, err := s.commitLocked(ctx, now, prefT, prefA, s.pendTaskH, updated, true, prefW)
-		if err != nil {
-			return nil, err
+		// judgments are journaled as the batch's OpMerge, never as a
+		// partial op — the durable ledger stays a strict subset of its
+		// batch, so crash recovery always re-enters the incremental path
+		// instead of committing mid-replay. The op carries attribution
+		// only when the completing judgments are attributed: the ledger's
+		// observations are already recorded.
+		taskH := s.pendTaskH
+		if s.pendBatch == nil {
+			taskH = s.sel.TaskEntropy
 		}
-		return resp, nil
+		var opW []string
+		if newWorkers != nil {
+			opW = prefW
+		}
+		op := s.judgmentOp(store.OpMerge, now, prefT, prefA, opW, prefS)
+		return s.commitLocked(ctx, op, judged, taskH, updated, true, prefW)
 	}
 
 	// Journal-then-commit, same discipline as merges: the judgments are
 	// durable before they are acknowledged or visible.
-	if s.persist != nil {
-		op := store.Op{
-			Kind:    store.OpPartial,
-			Version: s.version,
-			Tasks:   append([]int(nil), newTasks...),
-			Answers: append([]bool(nil), newAns...),
-			Batch:   append([]int(nil), s.pendBatch...),
-			Epoch:   s.leaseEpoch,
-			Time:    now,
-		}
-		if err := s.persistOp(ctx, op); err != nil {
-			return nil, persistError(s.id, err)
-		}
+	op := s.judgmentOp(store.OpPartial, now, newTasks, newAns, newWorkers, newSources)
+	op.Batch = slices.Clone(batch)
+	if err := s.persistJudgmentsLocked(ctx, op, nil); err != nil {
+		return nil, err
+	}
+	if s.pendBatch == nil {
+		s.pendBatch = slices.Clone(batch)
+		s.pendAns = make(map[int]bool, len(batch))
+		s.pendWorkers = make(map[int]string, len(batch))
+		s.pendTaskH = s.sel.TaskEntropy
 	}
 	for i, t := range newTasks {
 		s.pendAns[t] = newAns[i]
@@ -1379,7 +1346,7 @@ func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Sessi
 	}
 	for _, op := range rec.Ops {
 		v := op.Version
-		// The round's observations were journaled before its merge, so they
+		// The round's observations landed before its commit refit, so they
 		// re-seed first: the refit this replayed commit triggers sees the
 		// same evidence the pre-crash one did.
 		s.mu.Lock()
@@ -1446,9 +1413,10 @@ func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Sessi
 
 // replayJudgments rebuilds the judgments form for a replayed answer set
 // from the observation log: each task takes the worker of the last
-// observation journaled for it at that version (retried observe ops land
-// last, so the latest entry is the one whose commit succeeded), falling
-// back to the anonymous worker for tasks the log does not cover.
+// observation recorded for it at that version (in a log written by an
+// older binary, a retried observe op lands last, so the latest entry is the
+// one whose commit succeeded), falling back to the anonymous worker for
+// tasks the log does not cover.
 func replayJudgments(tasks []int, answers []bool, observations []store.Observation, version int, anon string) []Judgment {
 	byTask := make(map[int]store.Observation, len(tasks))
 	for _, o := range observations {

@@ -83,17 +83,14 @@ type File struct {
 }
 
 // fileSessionState is the in-memory bookkeeping for one session's files.
-// pendBatch/pendDone mirror the record's pending ledger so partial appends
-// can be validated without re-reading the log: an append this state admits
-// is exactly an op the read path's fold will accept — the store never
-// acknowledges a partial that a later Get would truncate as corrupt.
+// nextVer/pendBatch/pendDone are the record's admission inputs (see admit),
+// kept so appends can be validated without re-reading the log.
 type fileSessionState struct {
 	logged    int   // ops in the log since the last snapshot
 	nextVer   int   // merge version the next logged op must carry
 	logSize   int64 // verified log bytes on disk as of the last read/write
 	pendBatch []int // pending batch, nil when no ledger is open
 	pendDone  []int // batch tasks already judged
-	obsCount  int   // observations folded so far (the next observe op's Seq)
 }
 
 // NewFile opens (creating if needed) a file store rooted at dir.
@@ -208,7 +205,6 @@ func (s *File) putLocked(rec *Record) error {
 		logSize:   0,
 		pendBatch: append([]int(nil), rec.PendingBatch...),
 		pendDone:  append([]int(nil), rec.PendingTasks...),
-		obsCount:  len(rec.Observations),
 	})
 	return nil
 }
@@ -271,7 +267,7 @@ func (s *File) Append(id string, op Op) error {
 		// The log changed under us: another PROCESS sharing the data dir
 		// wrote since our bookkeeping was current — a peer that adopted
 		// this session during a handoff and has since handed it back.
-		// Resync from disk so the version gate below judges this op
+		// Resync from disk so the admission check below judges this op
 		// against the real log, not a stale cache. With leases enabled the
 		// epoch gate above has already refused any *divergent* writer;
 		// this stat fence remains as defense-in-depth for unleased
@@ -284,81 +280,14 @@ func (s *File) Append(id string, op Op) error {
 		st, _ = s.getState(id)
 	}
 
-	// Appends must extend the record in strict version order. A gap could
-	// never replay; an op BEHIND the current version is just as dangerous:
-	// retries are deduplicated in memory before they reach the store, so a
-	// stale append means a second, divergent writer — silently dropping it
-	// would let its in-memory state part ways with disk. (The skip-stale
-	// tolerance lives only on the read path, where it heals the log a
+	// The shared admission rule (admit): strict version order — a stale
+	// op is as dangerous as a gap, since retries are deduplicated in memory
+	// before they reach the store — plus shape and ledger membership, so an
+	// acknowledged op is exactly one the read path will fold. (The
+	// skip-stale tolerance lives only in fold, where it heals the log a
 	// crashed compaction leaves behind.)
-	if op.Kind != OpMerge && op.Kind != OpDone && op.Kind != OpPartial && op.Kind != OpObserve {
-		return fmt.Errorf("%w: op kind %q for %s", ErrCorrupt, op.Kind, id)
-	}
-	if op.Version != st.nextVer {
-		return fmt.Errorf("%w: op %q version %d does not extend %d applied ops for %s",
-			ErrCorrupt, op.Kind, op.Version, st.nextVer, id)
-	}
-	if op.Kind == OpMerge && (len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers)) {
-		return fmt.Errorf("%w: merge op for %s has %d tasks, %d answers",
-			ErrCorrupt, id, len(op.Tasks), len(op.Answers))
-	}
-	if op.Kind == OpPartial {
-		if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) || len(op.Batch) == 0 {
-			return fmt.Errorf("%w: partial op for %s has %d tasks, %d answers, batch %d",
-				ErrCorrupt, id, len(op.Tasks), len(op.Answers), len(op.Batch))
-		}
-		// Semantic gate, mirroring fold: membership in the open ledger's
-		// batch, no duplicate judgments, strict subset of the batch.
-		batch := st.pendBatch
-		if len(batch) == 0 {
-			batch = op.Batch
-		}
-		inBatch := make(map[int]bool, len(batch))
-		for _, task := range batch {
-			inBatch[task] = true
-		}
-		judged := make(map[int]bool, len(st.pendDone))
-		for _, task := range st.pendDone {
-			judged[task] = true
-		}
-		for _, task := range op.Tasks {
-			if !inBatch[task] {
-				return fmt.Errorf("%w: partial op for %s judges task %d outside batch %v",
-					ErrCorrupt, id, task, batch)
-			}
-			if judged[task] {
-				return fmt.Errorf("%w: partial op for %s re-judges task %d",
-					ErrCorrupt, id, task)
-			}
-			judged[task] = true
-		}
-		if len(st.pendDone)+len(op.Tasks) >= len(batch) {
-			return fmt.Errorf("%w: partial ops for %s would cover batch %v; a complete round must arrive as its merge op",
-				ErrCorrupt, id, batch)
-		}
-	}
-	if op.Kind == OpObserve {
-		// Shape and ordering gates, mirroring fold: an acknowledged observe
-		// op must be exactly one the read path will fold, never one a later
-		// Get would truncate as a corrupt tail.
-		if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) || len(op.Tasks) != len(op.Workers) {
-			return fmt.Errorf("%w: observe op for %s has %d tasks, %d answers, %d workers",
-				ErrCorrupt, id, len(op.Tasks), len(op.Answers), len(op.Workers))
-		}
-		if len(op.Sources) != 0 && len(op.Sources) != len(op.Tasks) {
-			return fmt.Errorf("%w: observe op for %s has %d tasks but %d sources",
-				ErrCorrupt, id, len(op.Tasks), len(op.Sources))
-		}
-		for i, w := range op.Workers {
-			if w == "" {
-				return fmt.Errorf("%w: observe op for %s has unattributed judgment %d",
-					ErrCorrupt, id, i)
-			}
-		}
-		if op.Seq != st.obsCount {
-			return fmt.Errorf("%w: observe op seq %d does not extend %d observations for %s",
-				ErrCorrupt, op.Seq, st.obsCount, id)
-		}
+	if err := admit(op, st.nextVer, st.pendBatch, st.pendDone); err != nil {
+		return fmt.Errorf("store: appending to %s: %w", id, err)
 	}
 
 	line, err := json.Marshal(op)
@@ -391,8 +320,6 @@ func (s *File) Append(id string, op Op) error {
 			st.pendBatch = append([]int(nil), op.Batch...)
 		}
 		st.pendDone = append(append([]int(nil), st.pendDone...), op.Tasks...)
-	case OpObserve:
-		st.obsCount += len(op.Tasks)
 	}
 	s.setState(id, st)
 	if st.logged >= s.compactEvery {
@@ -492,7 +419,6 @@ func (s *File) getLocked(id string) (*Record, error) {
 		logSize:   int64(good),
 		pendBatch: append([]int(nil), rec.PendingBatch...),
 		pendDone:  append([]int(nil), rec.PendingTasks...),
-		obsCount:  len(rec.Observations),
 	})
 	return rec, nil
 }

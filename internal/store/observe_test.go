@@ -9,19 +9,24 @@ import (
 	"time"
 )
 
-// obsOp builds an OpObserve extending a record with obs observations at
-// version v.
-func obsOp(v, seq int, tasks []int, answers []bool, workers, sources []string) Op {
+var obsTime = time.Unix(2000, 0).UTC()
+
+// attributed builds a merge or partial op whose judgments are attributed
+// to workers (sources optional).
+func attributed(kind string, v int, tasks []int, answers []bool, workers, sources []string) Op {
 	return Op{
-		Kind: OpObserve, Version: v, Seq: seq,
+		Kind: kind, Version: v,
 		Tasks: tasks, Answers: answers, Workers: workers, Sources: sources,
-		Time: time.Unix(2000, 0).UTC(),
+		Time: obsTime,
 	}
 }
 
-// TestConformanceObserveFoldsIntoGet: OpObserve appends attributed
-// observations without advancing the version — the paired OpMerge still
-// extends the op log at the same version afterwards.
+// legacyObserveLine renders an observe op as an older binary journaled it.
+const legacyObserveLine = `{"op":"observe","version":2,"tasks":[0,1],"answers":[true,false],"workers":["w1","w2"],"sources":["mturk","mturk"],"time":"1970-01-01T00:33:20Z"}` + "\n"
+
+// TestConformanceObserveFoldsIntoGet: an attributed merge op folds its
+// judgments into the record's observations, in op order, and advances the
+// version exactly once — the observations ride in the op that commits them.
 func TestConformanceObserveFoldsIntoGet(t *testing.T) {
 	eachStore(t, func(t *testing.T, s SessionStore) {
 		rec := testRecord("sess-observe")
@@ -29,13 +34,9 @@ func TestConformanceObserveFoldsIntoGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		// testRecord has two folded merges, so the live version is 2.
-		if err := s.Append(rec.ID, obsOp(2, 0,
-			[]int{0, 1}, []bool{true, false},
-			[]string{"w1", "w2"}, []string{"mturk", "mturk"})); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(rec.ID, obsOp(2, 2,
-			[]int{2}, []bool{true}, []string{"w1"}, nil)); err != nil {
+		if err := s.Append(rec.ID, attributed(OpMerge, 2,
+			[]int{1, 0, 2}, []bool{false, true, true},
+			[]string{"w2", "w1", "w1"}, []string{"mturk", "mturk", ""})); err != nil {
 			t.Fatal(err)
 		}
 		got, err := s.Get(rec.ID)
@@ -43,128 +44,143 @@ func TestConformanceObserveFoldsIntoGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := []Observation{
-			{Task: 0, Answer: true, Worker: "w1", Source: "mturk", Version: 2, Time: time.Unix(2000, 0).UTC()},
-			{Task: 1, Answer: false, Worker: "w2", Source: "mturk", Version: 2, Time: time.Unix(2000, 0).UTC()},
-			{Task: 2, Answer: true, Worker: "w1", Version: 2, Time: time.Unix(2000, 0).UTC()},
+			{Task: 1, Answer: false, Worker: "w2", Source: "mturk", Version: 2, Time: obsTime},
+			{Task: 0, Answer: true, Worker: "w1", Source: "mturk", Version: 2, Time: obsTime},
+			{Task: 2, Answer: true, Worker: "w1", Version: 2, Time: obsTime},
 		}
 		if !reflect.DeepEqual(got.Observations, want) {
 			t.Fatalf("observations:\n got %+v\nwant %+v", got.Observations, want)
 		}
-		if len(got.Ops) != 2 {
-			t.Fatalf("observe advanced the version: %d ops", len(got.Ops))
+		if len(got.Ops) != 3 {
+			t.Fatalf("merge folded into %d ops, want 3", len(got.Ops))
 		}
-		// The merge these observations condition still lands at version 2.
-		if err := s.Append(rec.ID, Op{Kind: OpMerge, Version: 2,
-			Tasks: []int{0, 1, 2}, Answers: []bool{true, false, true}}); err != nil {
+		// The attribution lives on in Observations; the folded op keeps
+		// only the answer set.
+		if m := got.Ops[2]; m.Workers != nil || m.Sources != nil ||
+			!reflect.DeepEqual(m.Tasks, []int{1, 0, 2}) {
+			t.Fatalf("folded merge op = %+v", m)
+		}
+		// An unattributed merge records no observation.
+		if err := s.Append(rec.ID, Op{Kind: OpMerge, Version: 3, Tasks: []int{0}, Answers: []bool{true}}); err != nil {
 			t.Fatal(err)
 		}
 		got, err = s.Get(rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Ops) != 3 || len(got.Observations) != 3 {
-			t.Fatalf("after merge: %d ops, %d observations", len(got.Ops), len(got.Observations))
+		if len(got.Ops) != 4 || len(got.Observations) != 3 {
+			t.Fatalf("after unattributed merge: %d ops, %d observations", len(got.Ops), len(got.Observations))
 		}
 	})
 }
 
-// TestConformanceObserveSeqGate: a live append whose Seq does not extend
-// the observation count is a divergent writer and must be rejected, not
-// silently acknowledged — the fold-time skip exists only for log replay
-// over a compacted snapshot.
+// TestConformanceObserveSeqGate: observe ops are legacy and read-only.
+// Neither store admits one at Append, whatever its Seq — the observation
+// sequence is now fixed by the merge/partial op order alone — and a refused
+// observe leaves the record untouched.
 func TestConformanceObserveSeqGate(t *testing.T) {
 	eachStore(t, func(t *testing.T, s SessionStore) {
 		rec := testRecord("sess-observe-seq")
 		if err := s.Put(rec); err != nil {
 			t.Fatal(err)
 		}
-		// Gapped: seq 1 when no observations exist.
-		err := s.Append(rec.ID, obsOp(2, 1, []int{0}, []bool{true}, []string{"w1"}, nil))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("gapped seq: err = %v, want ErrCorrupt", err)
-		}
-		if err := s.Append(rec.ID, obsOp(2, 0, []int{0}, []bool{true}, []string{"w1"}, nil)); err != nil {
-			t.Fatal(err)
-		}
-		// Stale: replaying seq 0 against one folded observation.
-		err = s.Append(rec.ID, obsOp(2, 0, []int{0}, []bool{true}, []string{"w1"}, nil))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("stale seq: err = %v, want ErrCorrupt", err)
-		}
-		// Wrong version (op log is at 2).
-		err = s.Append(rec.ID, obsOp(1, 1, []int{1}, []bool{true}, []string{"w1"}, nil))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("stale version: err = %v, want ErrCorrupt", err)
+		for _, seq := range []int{0, 1} {
+			op := attributed(OpObserve, 2, []int{0}, []bool{true}, []string{"w1"}, nil)
+			op.Seq = seq
+			if err := s.Append(rec.ID, op); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("observe seq %d: err = %v, want ErrCorrupt", seq, err)
+			}
 		}
 		got, err := s.Get(rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Observations) != 1 {
-			t.Fatalf("rejected appends leaked: %+v", got.Observations)
+		if len(got.Observations) != 0 || len(got.Ops) != 2 {
+			t.Fatalf("refused observe leaked: %d ops, %+v", len(got.Ops), got.Observations)
+		}
+		// The store still extends in order after the refusals.
+		if err := s.Append(rec.ID, attributed(OpMerge, 2, []int{0}, []bool{true}, []string{"w1"}, nil)); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
-// TestConformanceObserveShapeRejected: malformed observe ops — anonymous
-// workers, unpaired slices — are corrupt, in both stores.
+// TestConformanceObserveShapeRejected: merge and partial ops with
+// malformed attribution — anonymous workers, unpaired workers or sources,
+// sources without workers — are corrupt, in both stores.
 func TestConformanceObserveShapeRejected(t *testing.T) {
 	eachStore(t, func(t *testing.T, s SessionStore) {
 		rec := testRecord("sess-observe-shape")
 		if err := s.Put(rec); err != nil {
 			t.Fatal(err)
 		}
-		bad := []Op{
-			obsOp(2, 0, []int{0}, []bool{true}, []string{""}, nil),                  // anonymous
-			obsOp(2, 0, []int{0, 1}, []bool{true, false}, []string{"w1"}, nil),      // unpaired workers
-			obsOp(2, 0, []int{0}, []bool{true}, []string{"w1"}, []string{"a", "b"}), // unpaired sources
-			obsOp(2, 0, nil, nil, nil, nil),                                         // empty
+		batch := []int{0, 1, 2}
+		var bad []Op
+		for _, kind := range []string{OpMerge, OpPartial} {
+			bad = append(bad,
+				attributed(kind, 2, []int{0}, []bool{true}, []string{""}, nil),                  // anonymous
+				attributed(kind, 2, []int{0, 1}, []bool{true, false}, []string{"w1"}, nil),      // unpaired workers
+				attributed(kind, 2, []int{0}, []bool{true}, []string{"w1"}, []string{"a", "b"}), // unpaired sources
+				attributed(kind, 2, []int{0}, []bool{true}, nil, []string{"a"}),                 // sources without workers
+				attributed(kind, 2, []int{-1}, []bool{true}, []string{"w1"}, nil),               // negative task
+			)
+		}
+		for i := range bad {
+			if bad[i].Kind == OpPartial {
+				bad[i].Batch = batch
+			}
 		}
 		for i, op := range bad {
 			if err := s.Append(rec.ID, op); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("bad op %d: err = %v, want ErrCorrupt", i, err)
-			}
-		}
-	})
-}
-
-// TestConformanceObserveOrderingWithPartialLedger: observations interleave
-// with the pending ledger during an incremental round. The committing
-// merge clears the ledger but never the observation history — replay must
-// see every attributed judgment that conditioned the posterior.
-func TestConformanceObserveOrderingWithPartialLedger(t *testing.T) {
-	eachStore(t, func(t *testing.T, s SessionStore) {
-		rec := testRecord("sess-observe-partial")
-		if err := s.Put(rec); err != nil {
-			t.Fatal(err)
-		}
-		steps := []Op{
-			obsOp(2, 0, []int{3}, []bool{true}, []string{"w1"}, nil),
-			{Kind: OpPartial, Version: 2, Batch: []int{3, 4, 5}, Tasks: []int{3}, Answers: []bool{true}},
-			obsOp(2, 1, []int{4}, []bool{false}, []string{"w2"}, nil),
-			{Kind: OpPartial, Version: 2, Batch: []int{3, 4, 5}, Tasks: []int{4}, Answers: []bool{false}},
-		}
-		for i, op := range steps {
-			if err := s.Append(rec.ID, op); err != nil {
-				t.Fatalf("step %d: %v", i, err)
+				t.Errorf("bad op %d (%s): err = %v, want ErrCorrupt", i, op.Kind, err)
 			}
 		}
 		got, err := s.Get(rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.PendingTasks, []int{3, 4}) {
-			t.Fatalf("ledger = %v", got.PendingTasks)
+		if len(got.Ops) != 2 || len(got.Observations) != 0 || got.PendingBatch != nil {
+			t.Fatalf("refused ops leaked: %d ops, %+v, ledger %v", len(got.Ops), got.Observations, got.PendingBatch)
 		}
-		if len(got.Observations) != 2 || got.Observations[0].Worker != "w1" || got.Observations[1].Worker != "w2" {
-			t.Fatalf("observations = %+v", got.Observations)
-		}
-		// The batch completes: observe the last judgment, then merge.
-		if err := s.Append(rec.ID, obsOp(2, 2, []int{5}, []bool{true}, []string{"w1"}, nil)); err != nil {
+	})
+}
+
+// TestConformanceObserveOrderingWithPartialLedger: during an incremental
+// round each partial op records its own judgments; the committing merge
+// carries the whole batch but records observations only for the tasks its
+// ledger had not yet recorded, in op order. The merge clears the ledger
+// but never the observation history.
+func TestConformanceObserveOrderingWithPartialLedger(t *testing.T) {
+	eachStore(t, func(t *testing.T, s SessionStore) {
+		rec := testRecord("sess-observe-partial")
+		if err := s.Put(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Append(rec.ID, Op{Kind: OpMerge, Version: 2,
-			Tasks: []int{3, 4, 5}, Answers: []bool{true, false, true}}); err != nil {
+		batch := []int{3, 4, 5, 6}
+		p1 := attributed(OpPartial, 2, []int{4}, []bool{true}, []string{"w1"}, nil)
+		p1.Batch = batch
+		p2 := attributed(OpPartial, 2, []int{3}, []bool{false}, []string{"w2"}, []string{"sim"})
+		p2.Batch = batch
+		for i, op := range []Op{p1, p2} {
+			if err := s.Append(rec.ID, op); err != nil {
+				t.Fatalf("partial %d: %v", i, err)
+			}
+		}
+		got, err := s.Get(rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.PendingTasks, []int{4, 3}) {
+			t.Fatalf("ledger = %v", got.PendingTasks)
+		}
+		if len(got.Observations) != 2 || got.Observations[0].Worker != "w1" ||
+			got.Observations[1].Worker != "w2" || got.Observations[1].Source != "sim" {
+			t.Fatalf("observations = %+v", got.Observations)
+		}
+		// The batch completes in one merge op, in batch order.
+		if err := s.Append(rec.ID, attributed(OpMerge, 2,
+			batch, []bool{false, true, true, false},
+			[]string{"w2", "w1", "w3", "w1"}, nil)); err != nil {
 			t.Fatal(err)
 		}
 		got, err = s.Get(rec.ID)
@@ -174,8 +190,12 @@ func TestConformanceObserveOrderingWithPartialLedger(t *testing.T) {
 		if got.PendingBatch != nil || got.PendingTasks != nil {
 			t.Fatalf("merge left a ledger: %v / %v", got.PendingBatch, got.PendingTasks)
 		}
-		if len(got.Observations) != 3 {
-			t.Fatalf("merge dropped observations: %+v", got.Observations)
+		var order []int
+		for _, o := range got.Observations {
+			order = append(order, o.Task)
+		}
+		if !reflect.DeepEqual(order, []int{4, 3, 5, 6}) || got.Observations[2].Worker != "w3" {
+			t.Fatalf("observations after commit = %+v", got.Observations)
 		}
 	})
 }
@@ -220,9 +240,9 @@ func TestConformancePutValidatesObservations(t *testing.T) {
 	})
 }
 
-// TestFileObserveSurvivesRestart: observe ops are fsynced before Append
-// acknowledges, so an acknowledged observation survives SIGKILL (simulated
-// by reopening the directory without Close).
+// TestFileObserveSurvivesRestart: an attributed op is fsynced before
+// Append acknowledges, so its observations survive SIGKILL (simulated by
+// reopening the directory without Close).
 func TestFileObserveSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	fs := reopen(t, dir, 0)
@@ -230,8 +250,9 @@ func TestFileObserveSurvivesRestart(t *testing.T) {
 	if err := fs.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Append(rec.ID, obsOp(2, 0,
-		[]int{0, 2}, []bool{true, false}, []string{"w1", "w2"}, []string{"sim", "sim"})); err != nil {
+	p := attributed(OpPartial, 2, []int{0, 2}, []bool{true, false}, []string{"w1", "w2"}, []string{"sim", "sim"})
+	p.Batch = []int{0, 1, 2}
+	if err := fs.Append(rec.ID, p); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: the reopened store must see the synced log alone.
@@ -239,22 +260,24 @@ func TestFileObserveSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Observations) != 2 || got.Observations[1].Worker != "w2" {
+	if len(got.Observations) != 2 || got.Observations[1].Worker != "w2" || got.Observations[1].Source != "sim" {
 		t.Fatalf("restart lost observations: %+v", got.Observations)
 	}
 }
 
-// TestFileObserveTornTailRecovers: a torn observe line at the log tail is
-// truncated like any other torn op, recovering every previously
-// acknowledged observation and accepting fresh appends.
+// TestFileObserveTornTailRecovers: a log written by an older binary keeps
+// folding its observe ops read-only, and a torn, gapped or malformed
+// observe line at its tail is truncated like any other bad op — every
+// previously acknowledged observation recovers and a fresh attributed
+// append extends the repaired log.
 func TestFileObserveTornTailRecovers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tail string
 	}{
-		{"torn observe", `{"op":"observe","version":2,"seq":1,"tasks":[1],"answ`},
+		{"torn observe", `{"op":"observe","version":2,"seq":2,"tasks":[1],"answ`},
 		{"gapped seq", `{"op":"observe","version":2,"seq":5,"tasks":[1],"answers":[true],"workers":["w9"]}` + "\n"},
-		{"anonymous worker", `{"op":"observe","version":2,"seq":1,"tasks":[1],"answers":[true],"workers":[""]}` + "\n"},
+		{"anonymous worker", `{"op":"observe","version":2,"seq":2,"tasks":[1],"answers":[true],"workers":[""]}` + "\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -263,39 +286,37 @@ func TestFileObserveTornTailRecovers(t *testing.T) {
 			if err := fs.Put(rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.Append(rec.ID, obsOp(2, 0,
-				[]int{0}, []bool{true}, []string{"w1"}, nil)); err != nil {
-				t.Fatal(err)
-			}
 			logPath := filepath.Join(dir, rec.ID+".log")
-			f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
+			if err := os.WriteFile(logPath, []byte(legacyObserveLine+tc.tail), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.WriteString(tc.tail); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
 
 			fs2 := reopen(t, dir, 0)
 			got, err := fs2.Get(rec.ID)
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
-			if len(got.Observations) != 1 || got.Observations[0].Worker != "w1" {
+			if len(got.Observations) != 2 || got.Observations[1].Worker != "w2" || got.Observations[1].Source != "mturk" {
 				t.Fatalf("recovered observations: %+v", got.Observations)
 			}
-			// The tail was repaired: the next observe extends cleanly.
-			if err := fs2.Append(rec.ID, obsOp(2, 1,
-				[]int{1}, []bool{false}, []string{"w2"}, nil)); err != nil {
+			data, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data) != legacyObserveLine {
+				t.Fatalf("bad tail not truncated: %q", data)
+			}
+			// The tail was repaired: the next attributed merge extends it.
+			if err := fs2.Append(rec.ID, attributed(OpMerge, 2,
+				[]int{0, 1}, []bool{true, false}, []string{"w1", "w3"}, nil)); err != nil {
 				t.Fatal(err)
 			}
 			got, err = reopen(t, dir, 0).Get(rec.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Observations) != 2 {
-				t.Fatalf("append after repair lost: %+v", got.Observations)
+			if len(got.Observations) != 4 || len(got.Ops) != 3 || got.Observations[3].Worker != "w3" {
+				t.Fatalf("append after repair: %d ops, %+v", len(got.Ops), got.Observations)
 			}
 		})
 	}

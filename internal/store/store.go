@@ -22,6 +22,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -41,11 +42,14 @@ var (
 )
 
 // Op kinds. The op log records state transitions, not reads: merges (the
-// only transition that changes the posterior) and the done latch (a select
-// that proved no remaining task nets positive utility).
+// only transition that changes the posterior), partial judgments for a
+// batch still being answered, and the done latch (a select that proved no
+// remaining task nets positive utility). One answer submission is one op.
 const (
 	// OpMerge is one applied answer set: the session's posterior at
-	// Version was conditioned on (Tasks, Answers).
+	// Version was conditioned on (Tasks, Answers). Workers/Sources, when
+	// present, attribute the judgments and fold into the record's
+	// Observations.
 	OpMerge = "merge"
 	// OpDone latches session completion at Version. It carries no tasks.
 	OpDone = "done"
@@ -56,14 +60,10 @@ const (
 	// carries the full selected batch so recovery can re-pin the exact
 	// selection the judgments answer.
 	OpPartial = "partial"
-	// OpObserve journals worker-attributed judgments — the observations an
-	// online worker model (EM / Dawid–Skene) is estimated from. Tasks,
-	// Answers and Workers are parallel (Sources optional); Version is the
-	// session version the observations arrived at (observe ops do not
-	// advance the version — the paired OpMerge/OpPartial does); Seq is the
-	// index of the first observation appended, so a compaction that crashed
-	// between snapshot and truncate heals by skipping already-folded
-	// observations exactly as merge versions do.
+	// OpObserve is legacy and read-only: older binaries journaled
+	// worker-attributed judgments as a separate op ahead of the merge or
+	// partial consuming them. Replay still folds such ops from existing
+	// logs; no code path writes one, and Append refuses it with ErrCorrupt.
 	OpObserve = "observe"
 )
 
@@ -79,11 +79,12 @@ type Op struct {
 	// Batch is the full selected batch a partial op's judgments belong to,
 	// in selection order. Only OpPartial carries it.
 	Batch []int `json:"batch,omitempty"`
-	// Workers attributes each judgment of an OpObserve to its worker,
-	// parallel to Tasks/Answers. Sources optionally names each judgment's
-	// originating platform (parallel when present, or absent entirely).
-	// Seq is the record's observation count before this op — the index the
-	// op's first observation lands at.
+	// Workers attributes each judgment of a merge or partial op to its
+	// worker, parallel to Tasks/Answers; absent for unattributed judgments
+	// (which record no observations). Sources optionally names each
+	// judgment's originating platform (parallel when present, and only
+	// alongside Workers). Seq appears only in legacy observe ops: the
+	// record's observation count before the op.
 	Workers []string `json:"workers,omitempty"`
 	Sources []string `json:"sources,omitempty"`
 	Seq     int      `json:"seq,omitempty"`
@@ -94,6 +95,28 @@ type Op struct {
 	// Time advances the record's LastAccess on load; it never affects
 	// replay arithmetic.
 	Time time.Time `json:"time,omitzero"`
+}
+
+// Observations returns the worker-attributed judgments op carries, in op
+// order, skipping tasks in judged (an open ledger whose partial ops already
+// recorded theirs). Each takes the op's Version and Time. An op without
+// Workers carries none.
+func (o Op) Observations(judged []int) []Observation {
+	if len(o.Workers) == 0 {
+		return nil
+	}
+	var obs []Observation
+	for i, t := range o.Tasks {
+		if slices.Contains(judged, t) {
+			continue
+		}
+		ob := Observation{Task: t, Answer: o.Answers[i], Worker: o.Workers[i], Version: o.Version, Time: o.Time}
+		if len(o.Sources) != 0 {
+			ob.Source = o.Sources[i]
+		}
+		obs = append(obs, ob)
+	}
+	return obs
 }
 
 // Observation is one worker-attributed crowd judgment folded into a
@@ -168,8 +191,8 @@ type Record struct {
 	// the same estimator.
 	WorkerModel string `json:"worker_model,omitempty"`
 	// Observations is the session's worker-attributed judgment history in
-	// arrival order, folded from OpObserve ops — the input the online
-	// worker models are refit from on recovery.
+	// arrival order, folded from the attributed merge and partial ops —
+	// the input the online worker models are refit from on recovery.
 	Observations []Observation `json:"observations,omitempty"`
 }
 
@@ -280,9 +303,8 @@ func (r *Record) validate() error {
 		if op.Version != i {
 			return fmt.Errorf("%w: snapshot op %d has version %d", ErrCorrupt, i, op.Version)
 		}
-		if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) {
-			return fmt.Errorf("%w: snapshot op %d has %d tasks, %d answers",
-				ErrCorrupt, i, len(op.Tasks), len(op.Answers))
+		if err := checkJudgments(op); err != nil {
+			return fmt.Errorf("snapshot op %d: %w", i, err)
 		}
 	}
 	if err := r.validatePending(); err != nil {
@@ -315,164 +337,175 @@ func (r *Record) validateObservations() error {
 	return nil
 }
 
-// validatePending checks the pending-ledger invariants: paired judgment
-// slices, every answered task a member of the batch, no duplicate
-// judgments, and a ledger strictly smaller than its batch.
+// validatePending checks the pending-ledger invariants by admitting the
+// ledger as one partial op against its batch: paired judgment slices,
+// every answered task a member of the batch, no duplicate judgments, and a
+// ledger strictly smaller than its batch.
 func (r *Record) validatePending() error {
-	if len(r.PendingTasks) != len(r.PendingAnswers) {
-		return fmt.Errorf("%w: pending ledger has %d tasks, %d answers",
-			ErrCorrupt, len(r.PendingTasks), len(r.PendingAnswers))
-	}
-	if len(r.PendingBatch) == 0 {
-		if len(r.PendingTasks) != 0 {
-			return fmt.Errorf("%w: pending judgments without a pending batch", ErrCorrupt)
-		}
+	if len(r.PendingTasks) == 0 && len(r.PendingAnswers) == 0 {
 		return nil
 	}
-	if len(r.PendingTasks) >= len(r.PendingBatch) {
-		return fmt.Errorf("%w: pending ledger (%d) not a strict subset of its batch (%d)",
-			ErrCorrupt, len(r.PendingTasks), len(r.PendingBatch))
+	ledger := Op{Kind: OpPartial, Version: len(r.Ops), Tasks: r.PendingTasks, Answers: r.PendingAnswers, Batch: r.PendingBatch}
+	if err := admit(ledger, len(r.Ops), nil, nil); err != nil {
+		return fmt.Errorf("pending ledger: %w", err)
 	}
-	inBatch := make(map[int]bool, len(r.PendingBatch))
-	for _, t := range r.PendingBatch {
-		inBatch[t] = true
+	return nil
+}
+
+// errStale marks an op whose version the record has already folded. The
+// read path skips such ops — a compaction that crashed between writing the
+// snapshot and truncating the log leaves them behind — while Append refuses
+// them like any other corrupt op: retries are deduplicated before they
+// reach the store, so a stale append means a divergent second writer.
+var errStale = fmt.Errorf("%w: op version already folded", ErrCorrupt)
+
+// admit is the one op-admission check, shared by Record.fold and both
+// stores' Append: it reports why op cannot extend a record whose next merge
+// version is next and whose open pending ledger is batch (nil when none)
+// with the tasks in judged already answered. Whatever it admits, fold
+// applies, so a store never acknowledges an op a later Get would truncate
+// as a corrupt tail. Legacy observe ops are never admitted.
+func admit(op Op, next int, batch, judged []int) error {
+	if op.Kind != OpMerge && op.Kind != OpDone && op.Kind != OpPartial {
+		return fmt.Errorf("%w: op kind %q cannot be appended", ErrCorrupt, op.Kind)
 	}
-	seen := make(map[int]bool, len(r.PendingTasks))
-	for _, t := range r.PendingTasks {
-		if !inBatch[t] {
-			return fmt.Errorf("%w: pending judgment for task %d outside batch", ErrCorrupt, t)
+	if op.Version < next {
+		return fmt.Errorf("%w: op %q version %d, %d applied ops", errStale, op.Kind, op.Version, next)
+	}
+	if op.Version > next {
+		return fmt.Errorf("%w: op %q version %d does not extend %d applied ops",
+			ErrCorrupt, op.Kind, op.Version, next)
+	}
+	if op.Kind == OpDone {
+		return nil
+	}
+	if err := checkJudgments(op); err != nil {
+		return err
+	}
+	if op.Kind == OpMerge {
+		return nil
+	}
+	if len(op.Batch) == 0 {
+		return fmt.Errorf("%w: partial op has no batch", ErrCorrupt)
+	}
+	if len(batch) == 0 {
+		batch = op.Batch
+	}
+	// Duplicates are rejected, not skipped: the session layer deduplicates
+	// retries before persisting, so a judgment already in the ledger means
+	// a divergent writer (or a log replayed onto a snapshot that folded it
+	// during a crashed compaction — where truncating it loses nothing).
+	for i, t := range op.Tasks {
+		if !slices.Contains(batch, t) {
+			return fmt.Errorf("%w: partial op judges task %d outside batch %v", ErrCorrupt, t, batch)
 		}
-		if seen[t] {
-			return fmt.Errorf("%w: duplicate pending judgment for task %d", ErrCorrupt, t)
+		if slices.Contains(judged, t) || slices.Contains(op.Tasks[:i], t) {
+			return fmt.Errorf("%w: partial op re-judges task %d", ErrCorrupt, t)
 		}
-		seen[t] = true
+	}
+	// The completing judgment is journaled as the batch's OpMerge, never as
+	// a partial: a ledger covering its whole batch marks a corrupt tail, not
+	// a committable state.
+	if len(judged)+len(op.Tasks) >= len(batch) {
+		return fmt.Errorf("%w: partial ops would cover batch %v; a complete round must arrive as its merge op",
+			ErrCorrupt, batch)
+	}
+	return nil
+}
+
+// checkJudgments checks the shape of an op's judgments: non-empty paired
+// tasks and answers, no negative task, and worker attribution either absent
+// or parallel with every worker named (sources likewise, and only alongside
+// workers).
+func checkJudgments(op Op) error {
+	n := len(op.Tasks)
+	if n == 0 || n != len(op.Answers) {
+		return fmt.Errorf("%w: %s op has %d tasks, %d answers", ErrCorrupt, op.Kind, n, len(op.Answers))
+	}
+	if slices.ContainsFunc(op.Tasks, func(t int) bool { return t < 0 }) {
+		return fmt.Errorf("%w: %s op has a negative task", ErrCorrupt, op.Kind)
+	}
+	if (len(op.Workers) != 0 && len(op.Workers) != n) || (len(op.Sources) != 0 && len(op.Sources) != len(op.Workers)) {
+		return fmt.Errorf("%w: %s op has %d tasks, %d workers, %d sources",
+			ErrCorrupt, op.Kind, n, len(op.Workers), len(op.Sources))
+	}
+	if slices.Contains(op.Workers, "") {
+		return fmt.Errorf("%w: %s op has an unattributed judgment", ErrCorrupt, op.Kind)
 	}
 	return nil
 }
 
 // fold applies one logged op to the record. It returns ok=false when the
-// op cannot extend the record — a version gap, an unknown kind, or a
-// malformed merge — which readers treat as the start of a corrupt tail.
-// Ops whose version is already folded (a compaction that crashed between
-// writing the snapshot and truncating the log) are skipped silently.
+// op cannot extend the record — admit refuses it, or a legacy observe op
+// is malformed or out of sequence — which readers treat as the start of a
+// corrupt tail. Ops whose version is already folded are skipped silently.
 func (r *Record) fold(op Op) (ok bool) {
-	switch op.Kind {
-	case OpMerge:
-		switch {
-		case op.Version < len(r.Ops):
-			// Already folded into the snapshot by a compaction.
-		case op.Version == len(r.Ops):
-			if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) {
-				return false
-			}
-			r.Ops = append(r.Ops, op.clone())
-			// A merge produces a fresh posterior whose uncertainty is
-			// unknown until the next select. It also commits (and thereby
-			// clears) any pending ledger for this version.
-			r.Done = false
-			r.PendingBatch, r.PendingTasks, r.PendingAnswers = nil, nil, nil
-		default:
-			return false
-		}
-	case OpDone:
-		switch {
-		case op.Version < len(r.Ops):
-			// Stale latch: a later merge already superseded it.
-		case op.Version == len(r.Ops):
-			r.Done = true
-		default:
-			return false
-		}
-	case OpPartial:
-		switch {
-		case op.Version < len(r.Ops):
-			// The batch these judgments belong to was already committed by
-			// its merge (compaction crashed between snapshot and truncate).
-		case op.Version == len(r.Ops):
-			if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) || len(op.Batch) == 0 {
-				return false
-			}
-			batch := r.PendingBatch
-			if len(batch) == 0 {
-				batch = op.Batch
-			}
-			inBatch := make(map[int]bool, len(batch))
-			for _, t := range batch {
-				inBatch[t] = true
-			}
-			// Duplicates are rejected, not skipped: the session layer
-			// deduplicates retries before persisting, so a judgment already
-			// in the ledger means a divergent writer (or a log replayed onto
-			// a snapshot that folded it during a crashed compaction — where
-			// truncating it loses nothing).
-			answered := make(map[int]bool, len(r.PendingTasks))
-			for _, t := range r.PendingTasks {
-				answered[t] = true
-			}
-			for _, t := range op.Tasks {
-				if !inBatch[t] || answered[t] {
-					return false
-				}
-				answered[t] = true
-			}
-			// The completing judgment is journaled as the batch's OpMerge,
-			// never as a partial: a ledger covering its whole batch marks a
-			// corrupt tail, not a committable state.
-			if len(r.PendingTasks)+len(op.Tasks) >= len(batch) {
-				return false
-			}
-			if len(r.PendingBatch) == 0 {
-				r.PendingBatch = append([]int(nil), op.Batch...)
-			}
-			r.PendingTasks = append(r.PendingTasks, op.Tasks...)
-			r.PendingAnswers = append(r.PendingAnswers, op.Answers...)
-		default:
-			return false
-		}
-	case OpObserve:
-		switch {
-		case len(op.Tasks) == 0:
-			// An empty observe op is meaningless — and without this guard it
-			// would satisfy the already-folded skip below vacuously.
-			return false
-		case op.Seq+len(op.Tasks) <= len(r.Observations):
-			// Already folded into the snapshot by a compaction.
-		case op.Seq == len(r.Observations) && op.Version == len(r.Ops):
-			if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) ||
-				len(op.Tasks) != len(op.Workers) {
-				return false
-			}
-			if len(op.Sources) != 0 && len(op.Sources) != len(op.Tasks) {
-				return false
-			}
-			for _, w := range op.Workers {
-				if w == "" {
-					return false
-				}
-			}
-			for i, t := range op.Tasks {
-				obs := Observation{
-					Task:    t,
-					Answer:  op.Answers[i],
-					Worker:  op.Workers[i],
-					Version: op.Version,
-					Time:    op.Time,
-				}
-				if len(op.Sources) != 0 {
-					obs.Source = op.Sources[i]
-				}
-				r.Observations = append(r.Observations, obs)
-			}
-		default:
-			return false
-		}
+	if op.Kind == OpObserve {
+		return r.foldObserve(op)
+	}
+	switch err := admit(op, len(r.Ops), r.PendingBatch, r.PendingTasks); {
+	case err == nil:
+		r.apply(op)
+	case errors.Is(err, errStale):
+		r.touch(op.Time)
 	default:
 		return false
 	}
-	if op.Time.After(r.LastAccess) {
-		r.LastAccess = op.Time
-	}
 	return true
+}
+
+// apply folds an admitted op into the record. A merge records the
+// observations of the judgments its ledger had not yet recorded and then
+// commits (and thereby clears) the ledger; its attribution lives on in
+// Observations, so the folded op keeps only the answer set.
+func (r *Record) apply(op Op) {
+	switch op.Kind {
+	case OpMerge:
+		r.Observations = append(r.Observations, op.Observations(r.PendingTasks)...)
+		m := op.clone()
+		m.Workers, m.Sources = nil, nil
+		r.Ops = append(r.Ops, m)
+		// A merge produces a fresh posterior whose uncertainty is unknown
+		// until the next select.
+		r.Done = false
+		r.PendingBatch, r.PendingTasks, r.PendingAnswers = nil, nil, nil
+	case OpDone:
+		r.Done = true
+	case OpPartial:
+		r.Observations = append(r.Observations, op.Observations(r.PendingTasks)...)
+		if len(r.PendingBatch) == 0 {
+			r.PendingBatch = append([]int(nil), op.Batch...)
+		}
+		r.PendingTasks = append(r.PendingTasks, op.Tasks...)
+		r.PendingAnswers = append(r.PendingAnswers, op.Answers...)
+	}
+	r.touch(op.Time)
+}
+
+// foldObserve folds a legacy observe op read-only. Seq heals a compaction
+// that crashed between snapshot and truncate: observations already folded
+// into the snapshot are skipped, exactly as merge versions are.
+func (r *Record) foldObserve(op Op) bool {
+	if len(op.Workers) == 0 || checkJudgments(op) != nil {
+		return false
+	}
+	switch {
+	case op.Seq+len(op.Tasks) <= len(r.Observations):
+		// Already folded into the snapshot by a compaction.
+	case op.Seq == len(r.Observations) && op.Version == len(r.Ops):
+		r.Observations = append(r.Observations, op.Observations(nil)...)
+	default:
+		return false
+	}
+	r.touch(op.Time)
+	return true
+}
+
+// touch advances LastAccess to t when t is later.
+func (r *Record) touch(t time.Time) {
+	if t.After(r.LastAccess) {
+		r.LastAccess = t
+	}
 }
 
 // checkID vets an ID for use as (part of) a file name: non-empty, bounded,
